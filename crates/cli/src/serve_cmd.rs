@@ -5,6 +5,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use netexpl_core::Error;
+use netexpl_serve::protocol::write_frame;
 use netexpl_serve::{EngineConfig, Server, ServerConfig};
 use serde_json::Value;
 
@@ -138,7 +139,8 @@ pub fn request(args: &[String]) -> Result<(), Error> {
         source: e,
     })?;
     stream.set_read_timeout(Some(Duration::from_secs(300))).ok();
-    writeln!(stream, "{line}").map_err(|e| Error::Io {
+    stream.set_nodelay(true).ok();
+    write_frame(&mut stream, &line).map_err(|e| Error::Io {
         path: addr.to_string(),
         source: e,
     })?;

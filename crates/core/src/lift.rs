@@ -20,10 +20,19 @@
 //!   the chosen set is checked for **sufficiency** (`defs ∧ chosen ⊨ reqs`).
 //!
 //! Every candidate is judged against the *same* two assertion bases (`defs`
-//! and `defs ∧ reqs`), so the search runs on two incremental
-//! [`SmtSession`]s — one per side — that encode those bases once and answer
-//! each candidate as an assumption query, retaining learned clauses between
-//! candidates. The candidates are judged serially, in order.
+//! and `defs ∧ reqs`), so the search runs on one incremental [`SmtSession`]
+//! per router that encodes `defs` once and `reqs` behind an activation
+//! literal `act` (`act → reqs`). Necessity queries assume `act`; all other
+//! queries leave it free, which makes them queries against `defs` alone.
+//! Each candidate is an assumption query, and learned clauses carry over
+//! between candidates. The candidates are judged serially, in order.
+//!
+//! Every SAT answer is a concrete forwarding state that refutes more than
+//! the candidate it was found for. The lifter decodes and caches these
+//! counter-models and evaluates each pending candidate against them first:
+//! a cached model of `defs ∧ reqs ∧ ¬c` rejects `c` as unnecessary, and a
+//! cached model of `defs ∧ ¬c` answers its non-triviality check, with no
+//! query. Only candidates no cached model falsifies reach the solver.
 //!
 //! The result is a [`SubSpec`] in the same language as the global
 //! specification — Figures 2, 4 and 5 of the paper fall out of this search
@@ -34,6 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use netexpl_logic::budget::{Budget, Interrupt, InterruptReason};
+use netexpl_logic::model::{Assignment, Value};
 use netexpl_logic::session::SmtSession;
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_spec::{PathPattern, Requirement, Seg, Specification, SubSpec};
@@ -53,15 +63,15 @@ pub struct LiftOptions {
     /// interrupt in [`LiftResult::interrupt`]; everything already kept stays
     /// necessary.
     pub budget: Budget,
-    /// Warm-session store for incremental re-explanation: lifted session
-    /// pairs are deposited here and reused (cloned, learned clauses and
-    /// VSIDS activity intact) when the same router is lifted again under
-    /// an identical configuration. Requires [`LiftOptions::session_key`].
+    /// Warm-session store for incremental re-explanation: each router's
+    /// lift session is deposited here and reused (cloned, learned clauses
+    /// and VSIDS activity intact) when the same router is lifted again
+    /// under an identical configuration. Requires [`LiftOptions::session_key`].
     pub session_store: Option<Arc<LiftSessionStore>>,
     /// The exact configuration fingerprint scoping
     /// [`LiftOptions::session_store`] entries — reuse is only attempted
     /// when the whole network configuration is byte-identical to the one
-    /// the sessions were deposited under (see the store's soundness note).
+    /// the session was deposited under (see the store's soundness note).
     pub session_key: Option<u64>,
 }
 
@@ -77,13 +87,13 @@ impl Default for LiftOptions {
     }
 }
 
-/// A cross-run store of warm lifter session pairs, the session-reuse half
-/// of incremental re-explanation (`explain_delta`).
+/// A cross-run store of warm lifter sessions, one per router, the
+/// session-reuse half of incremental re-explanation (`explain_delta`).
 ///
 /// Entries are keyed by `(router, exact configuration fingerprint)` and
 /// additionally validated against the seed's `defs`/`reqs` term ids at
 /// lookup, so a clone is only handed out when the assertion base is
-/// provably the one the sessions encode. **Soundness contract:** a store
+/// provably the one the session encodes. **Soundness contract:** a store
 /// must only be consulted from (clones of) the term-arena lineage its
 /// entries were deposited from — term ids are meaningless across unrelated
 /// arenas. `netexpl serve` scopes one store per pooled session; the delta
@@ -91,33 +101,33 @@ impl Default for LiftOptions {
 /// context. Within that lineage, an identical configuration re-derives an
 /// identical seed (the pipeline is deterministic), so matching ids imply
 /// matching terms; anything else — an edited router, a different selector
-/// — re-derives different ids and falls back to fresh sessions, exactly
+/// — re-derives different ids and falls back to a fresh session, exactly
 /// the "learned clauses carry over where the assertion base is unchanged"
 /// rule.
 ///
-/// Each entry also snapshots the depositing worker's [`Ctx`]. The sessions
-/// internally reference terms minted *during* candidate checking (lowered
+/// Each entry also snapshots the depositing worker's [`Ctx`]. The session
+/// internally references terms minted *during* candidate checking (lowered
 /// forms in the bit-blaster memo, definition literals), which a later
 /// borrower's arena has not re-minted yet — worker arenas are clones whose
 /// growth is discarded after each run. A hit therefore fast-forwards the
 /// borrower's context to the snapshot: the borrower's arena is a strict
 /// prefix of it (identical derivation up to the consult point, checked),
 /// so the replacement preserves every id the borrower already holds while
-/// making every id the sessions reference live again.
+/// making every id the session references live again.
 #[derive(Default)]
 pub struct LiftSessionStore {
-    entries: Mutex<HashMap<(RouterId, u64), StoredSessions>>,
+    entries: Mutex<HashMap<(RouterId, u64), StoredSession>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-struct StoredSessions {
+struct StoredSession {
     defs: TermId,
     reqs: TermId,
-    /// The depositing worker's full term arena: the sessions' memoized
+    /// The depositing worker's full term arena: the session's memoized
     /// lowerings reference terms in it that exist in no other context.
     ctx: Ctx,
-    sessions: Checker,
+    session: LiftSession,
 }
 
 impl std::fmt::Debug for LiftSessionStore {
@@ -136,7 +146,7 @@ impl LiftSessionStore {
         Arc::new(LiftSessionStore::default())
     }
 
-    /// Number of stored session pairs.
+    /// Number of stored sessions.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("session store poisoned").len()
     }
@@ -151,7 +161,7 @@ impl LiftSessionStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that fell back to fresh sessions.
+    /// Lookups that fell back to a fresh session.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -165,19 +175,19 @@ impl LiftSessionStore {
             .retain(|&(_, key_fp), _| key_fp == fp);
     }
 
-    /// Clone out the stored pair for `key` when its assertion base matches,
-    /// fast-forwarding `ctx` to the deposit-time arena snapshot so every
-    /// term the sessions reference is live. The borrower's arena must be a
-    /// prefix of the snapshot (same lineage, identical derivation up to the
-    /// consult point); anything else misses and falls back to fresh
-    /// sessions.
+    /// Clone out the stored session for `key` when its assertion base
+    /// matches, fast-forwarding `ctx` to the deposit-time arena snapshot so
+    /// every term the session references is live. The borrower's arena must
+    /// be a prefix of the snapshot (same lineage, identical derivation up to
+    /// the consult point); anything else misses and falls back to a fresh
+    /// session.
     fn take_clone(
         &self,
         key: (RouterId, u64),
         defs: TermId,
         reqs: TermId,
         ctx: &mut Ctx,
-    ) -> Option<Checker> {
+    ) -> Option<LiftSession> {
         let entries = self.entries.lock().expect("session store poisoned");
         let stored = entries.get(&key)?;
         if stored.defs != defs || stored.reqs != reqs {
@@ -197,26 +207,26 @@ impl LiftSessionStore {
             }
         }
         *ctx = stored.ctx.clone();
-        Some(stored.sessions.clone())
+        Some(stored.session.clone())
     }
 
-    /// Deposit (or refresh) the pair for `key`, snapshotting the arena the
-    /// sessions' internals point into.
+    /// Deposit (or refresh) the session for `key`, snapshotting the arena
+    /// its internals point into.
     fn deposit(
         &self,
         key: (RouterId, u64),
         defs: TermId,
         reqs: TermId,
         ctx: &Ctx,
-        sessions: Checker,
+        session: LiftSession,
     ) {
         self.entries.lock().expect("session store poisoned").insert(
             key,
-            StoredSessions {
+            StoredSession {
                 defs,
                 reqs,
                 ctx: ctx.clone(),
-                sessions,
+                session,
             },
         );
     }
@@ -250,31 +260,35 @@ pub struct LiftResult {
     pub interrupt: Option<Interrupt>,
 }
 
-/// The lifter's two persistent sessions: `base` holds `defs`, `seed` holds
-/// `defs ∧ reqs`. `base` never receives candidate-specific assertions —
-/// sufficiency hypotheses and provenance negations travel as assumptions —
-/// so one encoding serves every query shape.
+/// The lifter's one solver session for a router. `defs` is asserted
+/// outright and `reqs` behind the fresh activation literal `act`
+/// (`act → reqs`). Necessity queries assume `act` and so decide against
+/// `defs ∧ reqs`. Every other query (non-triviality, sufficiency,
+/// provenance) leaves `act` free, and a model may then set it false, so
+/// `defs ∧ (act → reqs) ∧ φ` is satisfiable exactly when `defs ∧ φ` is.
+/// One encoding of `defs` serves both sides, and no query ever asserts
+/// anything candidate-specific.
 #[derive(Clone)]
-struct Checker {
-    base: SmtSession,
-    seed: SmtSession,
+struct LiftSession {
+    smt: SmtSession,
+    act: TermId,
 }
 
-impl Checker {
+impl LiftSession {
     fn new(
         ctx: &mut Ctx,
         router: RouterId,
         defs: TermId,
         reqs: TermId,
         options: &LiftOptions,
-    ) -> Checker {
+    ) -> LiftSession {
+        let _span = netexpl_obs::Span::enter("lift.encode");
         // Warm path: a prior lift of this router under an identical
-        // configuration deposited its sessions — clone them, learned
-        // clauses and VSIDS activity intact, instead of re-encoding.
+        // configuration deposited its session — clone it, learned clauses
+        // and VSIDS activity intact, instead of re-encoding.
         if let (Some(store), Some(fp)) = (&options.session_store, options.session_key) {
             if let Some(mut warm) = store.take_clone((router, fp), defs, reqs, ctx) {
-                warm.base.set_budget(options.budget.clone());
-                warm.seed.set_budget(options.budget.clone());
+                warm.smt.set_budget(options.budget.clone());
                 store.hits.fetch_add(1, Ordering::Relaxed);
                 netexpl_obs::counter_add("lift.session_store.hits", 1);
                 return warm;
@@ -282,70 +296,19 @@ impl Checker {
             store.misses.fetch_add(1, Ordering::Relaxed);
             netexpl_obs::counter_add("lift.session_store.misses", 1);
         }
-        let mut base = SmtSession::new();
-        base.set_budget(options.budget.clone());
-        base.assert(ctx, defs);
-        let mut seed = SmtSession::new();
-        seed.set_budget(options.budget.clone());
-        seed.assert(ctx, defs);
-        seed.assert(ctx, reqs);
-        Checker { base, seed }
+        let act = ctx.bool_var("lift.act");
+        let guarded = ctx.implies(act, reqs);
+        let mut smt = SmtSession::new();
+        smt.set_budget(options.budget.clone());
+        smt.assert(ctx, defs);
+        smt.assert(ctx, guarded);
+        LiftSession { smt, act }
     }
 
     /// Attribute subsequent solver queries to the candidate `label`, so
     /// `session.query` spans name the lift template that issued them.
     fn set_origin(&mut self, label: &str) {
-        self.base.set_origin(format!("lift:{label}"));
-        self.seed.set_origin(format!("lift:{label}"));
-    }
-
-    /// Judge one candidate: governance (forbidden windows only), then the
-    /// non-triviality and necessity queries, under a `lift.candidate` span.
-    /// `Ok(true)` keeps it; `Ok(false)` rejects it as trivial or unnecessary.
-    fn judge(
-        &mut self,
-        ctx: &mut Ctx,
-        budget: &Budget,
-        cand: &Candidate,
-    ) -> Result<bool, Interrupt> {
-        if matches!(cand.kind, CandKind::Forbidden { .. }) {
-            governance(budget)?;
-        }
-        let span = netexpl_obs::Span::enter("lift.candidate");
-        if span.is_recording() {
-            span.attr("template", cand.label.clone());
-            span.attr("kind", cand.kind_str());
-            self.set_origin(&cand.label);
-        }
-        // Non-trivial: not already guaranteed by the frozen network.
-        match self.base.entails(ctx, cand.term) {
-            Ok(true) => {
-                span.attr("outcome", "trivial");
-                return Ok(false);
-            }
-            Ok(false) => {}
-            Err(i) => {
-                span.attr("outcome", "interrupted");
-                return Err(i);
-            }
-        }
-        // Necessary: implied by the seed. A localized preference is kept on
-        // non-triviality alone (its constraints come *from* the seed).
-        if !matches!(cand.kind, CandKind::Preference) {
-            match self.seed.entails(ctx, cand.term) {
-                Ok(true) => {}
-                Ok(false) => {
-                    span.attr("outcome", "unnecessary");
-                    return Ok(false);
-                }
-                Err(i) => {
-                    span.attr("outcome", "interrupted");
-                    return Err(i);
-                }
-            }
-        }
-        span.attr("outcome", "kept");
-        Ok(true)
+        self.smt.set_origin(format!("lift:{label}"));
     }
 
     /// Unsat-core indices into `req_groups` for `defs ∧ groups ∧ ¬cand`.
@@ -360,12 +323,194 @@ impl Checker {
         let neg = ctx.not(cand);
         let mut assumptions: Vec<TermId> = req_groups.to_vec();
         assumptions.push(neg);
-        self.base
+        self.smt
             .check_assuming(ctx, &assumptions)
             .1
             .into_iter()
             .filter(|&i| i < req_groups.len())
             .collect()
+    }
+}
+
+/// A candidate's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Already guaranteed by the frozen network: `defs ⊨ c`.
+    Trivial,
+    /// Not implied by the seed: `defs ∧ reqs ⊭ c`.
+    Unnecessary,
+    /// Non-trivial and (except for preferences) necessary.
+    Kept,
+}
+
+impl Verdict {
+    fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Trivial => "trivial",
+            Verdict::Unnecessary => "unnecessary",
+            Verdict::Kept => "kept",
+        }
+    }
+}
+
+/// A SAT counter-model the lifter got back from its session: a concrete
+/// forwarding state satisfying `defs` (and `reqs` too when `act` is true in
+/// it). It refutes every later candidate it falsifies.
+struct CounterModel {
+    asg: Assignment,
+    /// What falsifying a candidate proves: [`Refuted::Seed`] when `act` is
+    /// true in the model, [`Refuted::Base`] otherwise.
+    proves: Refuted,
+    /// Per-term evaluation cache; candidates share most of their subterms.
+    memo: HashMap<TermId, Option<Value>>,
+}
+
+impl CounterModel {
+    /// Does this model falsify `c`? An unknown value (a variable the
+    /// session had not encoded when the model was found) is not a refutation.
+    fn falsifies(&mut self, ctx: &Ctx, c: TermId) -> bool {
+        self.asg.eval_memo(ctx, c, &mut self.memo) == Some(Value::Bool(false))
+    }
+}
+
+/// What cached counter-models prove about a candidate `c`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refuted {
+    /// No cached model falsifies `c`.
+    Nothing,
+    /// A model of `defs ∧ ¬c`: `c` is non-trivial.
+    Base,
+    /// A model of `defs ∧ reqs ∧ ¬c`: `c` is non-trivial and unnecessary.
+    Seed,
+}
+
+/// The counter-models of one lift, most recently useful first.
+#[derive(Default)]
+struct ModelCache {
+    models: Vec<CounterModel>,
+}
+
+impl ModelCache {
+    /// Cache a fresh counter-model in front; returns what it proves about
+    /// the candidate it was found for.
+    fn add(&mut self, ctx: &Ctx, asg: Assignment, act: TermId) -> Refuted {
+        let proves = if asg.eval_bool(ctx, act) == Some(true) {
+            Refuted::Seed
+        } else {
+            Refuted::Base
+        };
+        let memo = HashMap::new();
+        self.models.insert(0, CounterModel { asg, proves, memo });
+        proves
+    }
+
+    /// The strongest refutation of `c` among the cached models, moving the
+    /// model that gives it to the front. With `need_seed` false any
+    /// falsifying model will do.
+    fn refute(&mut self, ctx: &Ctx, c: TermId, need_seed: bool) -> Refuted {
+        let mut found: Option<(usize, Refuted)> = None;
+        for (i, model) in self.models.iter_mut().enumerate() {
+            if !model.falsifies(ctx, c) {
+                continue;
+            }
+            let refuted = model.proves;
+            if found.is_none() || refuted == Refuted::Seed {
+                found = Some((i, refuted));
+            }
+            if refuted == Refuted::Seed || !need_seed {
+                break;
+            }
+        }
+        let Some((i, refuted)) = found else {
+            return Refuted::Nothing;
+        };
+        self.models[..=i].rotate_right(1);
+        refuted
+    }
+}
+
+/// The candidate judge: the router's session plus the counter-models its
+/// queries have returned so far.
+struct Checker {
+    session: LiftSession,
+    models: ModelCache,
+    /// Solver queries answered from cached counter-models.
+    model_hits: u64,
+}
+
+impl Checker {
+    fn new(
+        ctx: &mut Ctx,
+        router: RouterId,
+        defs: TermId,
+        reqs: TermId,
+        options: &LiftOptions,
+    ) -> Checker {
+        Checker {
+            session: LiftSession::new(ctx, router, defs, reqs, options),
+            models: ModelCache::default(),
+            model_hits: 0,
+        }
+    }
+
+    /// Judge one candidate: governance (forbidden windows only), then its
+    /// verdict, under a `lift.candidate` span. `Ok(true)` keeps it;
+    /// `Ok(false)` rejects it as trivial or unnecessary.
+    fn judge(
+        &mut self,
+        ctx: &mut Ctx,
+        budget: &Budget,
+        cand: &Candidate,
+    ) -> Result<bool, Interrupt> {
+        if matches!(cand.kind, CandKind::Forbidden { .. }) {
+            governance(budget)?;
+        }
+        let span = netexpl_obs::Span::enter("lift.candidate");
+        if span.is_recording() {
+            span.attr("template", cand.label.clone());
+            span.attr("kind", cand.kind_str());
+            self.session.set_origin(&cand.label);
+        }
+        // A localized preference is kept on non-triviality alone (its
+        // constraints come *from* the seed).
+        let necessity = !matches!(cand.kind, CandKind::Preference);
+        let verdict = self.verdict(ctx, cand.term, necessity);
+        span.attr(
+            "outcome",
+            verdict.as_ref().map_or("interrupted", |v| v.as_str()),
+        );
+        verdict.map(|v| v == Verdict::Kept)
+    }
+
+    /// Non-triviality (`defs ⊭ c`), then, when `necessity` is set,
+    /// necessity (`defs ∧ reqs ⊨ c`). Each check first consults the cached
+    /// counter-models and only queries the session when none refutes `c`;
+    /// every SAT answer is cached for the candidates after this one.
+    fn verdict(&mut self, ctx: &mut Ctx, c: TermId, necessity: bool) -> Result<Verdict, Interrupt> {
+        let act = self.session.act;
+        let mut refuted = self.models.refute(ctx, c, necessity);
+        if refuted == Refuted::Nothing {
+            match self.session.smt.counter_model(ctx, &[], c)? {
+                None => return Ok(Verdict::Trivial),
+                Some(asg) => refuted = self.models.add(ctx, asg, act),
+            }
+        } else {
+            self.model_hits += 1;
+        }
+        if !necessity {
+            return Ok(Verdict::Kept);
+        }
+        if refuted == Refuted::Seed {
+            self.model_hits += 1;
+            return Ok(Verdict::Unnecessary);
+        }
+        match self.session.smt.counter_model(ctx, &[act], c)? {
+            None => Ok(Verdict::Kept),
+            Some(asg) => {
+                self.models.add(ctx, asg, act);
+                Ok(Verdict::Unnecessary)
+            }
+        }
     }
 }
 
@@ -623,7 +768,10 @@ pub fn lift(
     let defs = seed.def_conjunction;
     let reqs = seed.req_conjunction;
     let budget = options.budget.clone();
-    let candidates = enumerate_candidates(ctx, topo, spec, seed, router, &options);
+    let candidates = {
+        let _span = netexpl_obs::Span::enter("lift.enumerate");
+        enumerate_candidates(ctx, topo, spec, seed, router, &options)
+    };
     let mut checker = Checker::new(ctx, router, defs, reqs, &options);
     let CheckOutcome {
         kept,
@@ -631,16 +779,22 @@ pub fn lift(
         checked,
         mut interrupt,
     } = check_candidates(ctx, &budget, &mut checker, &candidates);
+    let Checker {
+        mut session,
+        model_hits,
+        ..
+    } = checker;
 
     // ---- sufficiency ---------------------------------------------------------
     // An interrupted search cannot claim sufficiency: candidates it never
-    // examined might have been required.
+    // examined might have been required. `act` stays free: defs ∧ chosen ⊨ reqs.
     let chosen_terms: Vec<TermId> = kept.iter().map(|(_, t)| *t).collect();
-    checker.set_origin("sufficiency");
     let complete = if interrupt.is_some() {
         false
     } else {
-        match checker.base.entails_assuming(ctx, &chosen_terms, reqs) {
+        let _span = netexpl_obs::Span::enter("lift.sufficiency");
+        session.set_origin("sufficiency");
+        match session.smt.entails_assuming(ctx, &chosen_terms, reqs) {
             Ok(v) => v,
             Err(i) => {
                 interrupt = Some(i);
@@ -653,6 +807,7 @@ pub fn lift(
     // Trace each chosen entry to the global requirement blocks that force
     // it: assume each requirement's constraint conjunction retractably and
     // take the unsat core of defs ∧ assumptions ∧ ¬entry.
+    let span = netexpl_obs::Span::enter("lift.provenance");
     let block_names: Vec<String> = spec
         .blocks
         .iter()
@@ -673,7 +828,7 @@ pub fn lift(
         })
         .collect();
     let mut provenance: Vec<Vec<String>> = Vec::with_capacity(kept.len());
-    checker.set_origin("provenance");
+    session.set_origin("provenance");
     for (_, cand) in &kept {
         if interrupt.is_some() {
             // Provenance is decoration; don't spend an exhausted budget on
@@ -682,7 +837,7 @@ pub fn lift(
             provenance.push(Vec::new());
             continue;
         }
-        let core = checker.provenance_core(ctx, *cand, &req_groups);
+        let core = session.provenance_core(ctx, *cand, &req_groups);
         let mut blocks: Vec<String> = core
             .iter()
             .filter_map(|&i| block_names.get(i).cloned())
@@ -692,10 +847,13 @@ pub fn lift(
         provenance.push(blocks);
     }
 
+    drop(span);
+
     netexpl_obs::counter_add("lift.candidate_checks", checked as u64);
-    // Deposit the warm sessions for the next run over this configuration.
+    netexpl_obs::counter_add("lift.model_hits", model_hits);
+    // Deposit the warm session for the next run over this configuration.
     if let (Some(store), Some(fp)) = (&options.session_store, options.session_key) {
-        store.deposit((router, fp), defs, reqs, ctx, checker);
+        store.deposit((router, fp), defs, reqs, ctx, session);
     }
     let requirements: Vec<Requirement> = kept.into_iter().map(|(r, _)| r).collect();
     LiftResult {
@@ -940,5 +1098,152 @@ mod option_tests {
         assert_eq!(i.reason, InterruptReason::Fault);
         assert!(!result.complete);
         assert!(result.subspec.is_empty(), "fault fires before any check");
+    }
+}
+
+#[cfg(test)]
+mod judge_tests {
+    use super::*;
+    use crate::problem::{parse_problem, synthesize_problem, topology_by_name};
+    use crate::seed::seed_spec;
+    use crate::symbolize::{symbolize, Dir, Selector};
+    use netexpl_logic::solver::entails;
+    use netexpl_synth::encode::EncodeOptions;
+    use netexpl_synth::sketch::HoleFactory;
+
+    /// Scenario 1 of the paper (no transit) plus customer reachability.
+    const NO_TRANSIT: &str = "\
+// @originate P1 200.7.0.0/16
+// @originate P2 201.0.0.0/16
+// @originate Customer 123.0.1.0/20
+dest D1 = 200.7.0.0/16
+dest D2 = 201.0.0.0/16
+Req1 {
+  !(P1 -> ... -> P2)
+  !(P2 -> ... -> P1)
+}
+Req2 {
+  Customer ~> D1
+  Customer ~> D2
+}
+";
+
+    /// Scenarios 2 and 3 of the paper: no transit, the customer's egress
+    /// preference and reachability, over one destination at both providers.
+    const PREFERENCE: &str = "\
+// @originate P1 200.7.0.0/16
+// @originate P2 200.7.0.0/16
+// @originate Customer 123.0.1.0/20
+dest D1 = 200.7.0.0/16
+Req1 {
+  !(P1 -> ... -> P2)
+  !(P2 -> ... -> P1)
+}
+Req2 {
+  (Customer -> R3 -> R1 -> P1 -> ... -> D1)
+  >> (Customer -> R3 -> R2 -> P2 -> ... -> D1)
+}
+Req3 {
+  Customer ~> D1
+}
+";
+
+    /// The ring workload of the benchmark.
+    const RING: &str = "\
+// @originate Pa 200.7.0.0/16
+// @originate Pb 201.0.0.0/16
+dest D1 = 200.7.0.0/16
+dest D2 = 201.0.0.0/16
+Req1 {
+  !(Pa -> ... -> Pb)
+  !(Pb -> ... -> Pa)
+}
+Req2 {
+  R0 ~> D2
+}
+";
+
+    /// Every verdict the session-and-cache judge gives equals the one two
+    /// one-shot solver entailments give (`defs ⊨ c` for triviality,
+    /// `defs ∧ reqs ⊨ c` for necessity), for every enumerated candidate,
+    /// judged in enumeration order with no dedup filtering. Every cached
+    /// counter-model satisfies `defs`, and `reqs` too when `act` is true in
+    /// it. The fixtures are the paper's Figure 2 (R1's export to P1 under
+    /// no transit), Figure 4 (R3's choice between R1 and R2 under the
+    /// egress preference) and a ring router; a one-shot query re-encodes
+    /// `defs`, which bounds how many fit in a unit test.
+    #[test]
+    fn verdicts_match_one_shot_entailments() {
+        let fixtures = [
+            ("paper", NO_TRANSIT, "R1", Some(("P1", Dir::Export))),
+            ("paper", PREFERENCE, "R3", Some(("R1", Dir::Import))),
+            ("ring:4", RING, "R0", None),
+        ];
+        let mut model_hits = 0;
+        let mut judged = 0;
+        for (topology, text, router, session) in fixtures {
+            let topo = topology_by_name(topology).unwrap();
+            let problem = parse_problem(&topo, topology, text).unwrap();
+            let mut ctx = Ctx::new();
+            let sorts = problem.vocab.sorts(&mut ctx);
+            let config = synthesize_problem(&topo, &problem, &mut ctx, sorts, Budget::unlimited())
+                .unwrap()
+                .config;
+            let factory = HoleFactory::new(&problem.vocab, sorts);
+            let router = topo.router_by_name(router).unwrap();
+            let selector = match session {
+                Some((neighbor, dir)) => Selector::Session {
+                    neighbor: topo.router_by_name(neighbor).unwrap(),
+                    dir,
+                },
+                None => Selector::Router,
+            };
+            let (sym, _) = symbolize(&mut ctx, &factory, &topo, &config, router, &selector);
+            let seed = seed_spec(
+                &mut ctx,
+                &topo,
+                &problem.vocab,
+                sorts,
+                &sym,
+                &problem.spec,
+                EncodeOptions::default(),
+            )
+            .unwrap();
+            let (defs, reqs) = (seed.def_conjunction, seed.req_conjunction);
+            let options = LiftOptions::default();
+            let candidates =
+                enumerate_candidates(&mut ctx, &topo, &problem.spec, &seed, router, &options);
+            let mut checker = Checker::new(&mut ctx, router, defs, reqs, &options);
+            let defs_and_reqs = ctx.and2(defs, reqs);
+            for cand in &candidates {
+                let necessity = !matches!(cand.kind, CandKind::Preference);
+                let c = cand.term;
+                // The verdict the two entailments give, asking only what
+                // tells it apart: `defs ∧ reqs ⊭ c` already implies
+                // `defs ⊭ c`, so an unnecessary verdict needs one query.
+                let agrees = match checker.verdict(&mut ctx, c, necessity).unwrap() {
+                    Verdict::Trivial => entails(&mut ctx, defs, c),
+                    Verdict::Unnecessary => necessity && !entails(&mut ctx, defs_and_reqs, c),
+                    Verdict::Kept => {
+                        !entails(&mut ctx, defs, c)
+                            && (!necessity || entails(&mut ctx, defs_and_reqs, c))
+                    }
+                };
+                assert!(agrees, "{topology} {}: {}", topo.name(router), cand.label);
+                judged += 1;
+            }
+            for model in &checker.models.models {
+                assert_eq!(model.asg.eval_bool(&ctx, defs), Some(true));
+                if model.proves == Refuted::Seed {
+                    assert_eq!(model.asg.eval_bool(&ctx, reqs), Some(true));
+                }
+            }
+            model_hits += checker.model_hits;
+        }
+        assert!(judged > 100, "only {judged} candidates judged");
+        assert!(
+            model_hits > 0,
+            "no verdict came from a cached counter-model"
+        );
     }
 }

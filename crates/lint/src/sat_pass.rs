@@ -28,7 +28,6 @@ use netexpl_core::symbolize::Dir;
 use netexpl_dataflow::Prefilter;
 use netexpl_logic::session::SmtSession;
 use netexpl_logic::term::{Ctx, TermId};
-use netexpl_logic::SmtResult;
 use netexpl_synth::vocab::{VocabSorts, Vocabulary};
 use netexpl_topology::{RouterId, Topology};
 
@@ -221,9 +220,11 @@ fn lint_map(
 
     // One session per map: the domain constraints are encoded once and every
     // entry probe rides on it as an assumption query, so learned clauses from
-    // earlier entries prune the search for later ones.
+    // earlier entries prune the search for later ones. A probe asks whether
+    // its assumptions entail ⊥ (are unsatisfiable), so no model is decoded.
     let mut session = SmtSession::new();
     session.assert(ctx, route.domain);
+    let ff = ctx.mk_false();
 
     for (i, &m_i) in match_terms.iter().enumerate() {
         let e = &map.entries[i];
@@ -242,7 +243,7 @@ fn lint_map(
             // Attribute the query to the diagnostic probing it, so
             // `netexpl profile` can rank lint probes by solver cost.
             session.set_origin(format!("NE011:{}:{}", map.name, e.seq));
-            matches!(session.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat)
+            matches!(session.entails_assuming(ctx, &[m_i], ff), Ok(true))
         };
         if contradictory {
             diags.push(
@@ -273,10 +274,7 @@ fn lint_map(
         for &m_j in &match_terms[..i] {
             assumptions.push(ctx.not(m_j));
         }
-        let unreachable = matches!(
-            session.check_assuming(ctx, &assumptions).0,
-            SmtResult::Unsat
-        );
+        let unreachable = matches!(session.entails_assuming(ctx, &assumptions, ff), Ok(true));
         if unreachable {
             diags.push(
                 Diagnostic::new(

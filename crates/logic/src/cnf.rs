@@ -50,10 +50,6 @@ impl ELit {
 pub struct CnfBuilder {
     cnf: Cnf,
     memo: HashMap<TermId, ELit>,
-    /// Clauses already handed out by [`CnfBuilder::take_new_clauses`]; the
-    /// session drains the builder after each assertion/definition so only
-    /// novel gate clauses flow into the live solver.
-    drained: usize,
 }
 
 impl CnfBuilder {
@@ -93,11 +89,6 @@ impl CnfBuilder {
         self.cnf.num_vars
     }
 
-    /// Total clauses emitted so far (including already-drained ones).
-    pub fn num_clauses(&self) -> usize {
-        self.cnf.clauses.len()
-    }
-
     /// The SAT variable for a term-level variable, if it occurs.
     pub fn sat_var(&self, v: VarId) -> Option<usize> {
         self.cnf.sat_var(v)
@@ -108,14 +99,13 @@ impl CnfBuilder {
         &self.cnf.var_map
     }
 
-    /// Clauses emitted since the last drain. An incremental session calls
-    /// this after each [`CnfBuilder::assert_term`]/[`CnfBuilder::define_term`]
-    /// and feeds the delta into its long-lived solver; the full clause list
-    /// is still retained for [`CnfBuilder::finish`].
+    /// Move out the clauses emitted since the last drain. An incremental
+    /// session calls this after each
+    /// [`CnfBuilder::assert_term`]/[`CnfBuilder::define_term`] and feeds the
+    /// delta into its long-lived solver, which then holds the only copy;
+    /// [`CnfBuilder::finish`] returns only clauses not yet drained.
     pub fn take_new_clauses(&mut self) -> Vec<Vec<Lit>> {
-        let new = self.cnf.clauses[self.drained..].to_vec();
-        self.drained = self.cnf.clauses.len();
-        new
+        std::mem::take(&mut self.cnf.clauses)
     }
 
     fn fresh(&mut self) -> Lit {

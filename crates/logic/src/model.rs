@@ -79,57 +79,84 @@ impl Assignment {
     /// Evaluate a term of any sort. Returns `None` if an unbound variable is
     /// reached (partial assignment).
     pub fn eval(&self, ctx: &Ctx, t: TermId) -> Option<Value> {
+        self.eval_memo(ctx, t, &mut HashMap::new())
+    }
+
+    /// [`Assignment::eval`] with its per-term results cached in `memo`, so a
+    /// shared subterm is evaluated once. The cache stays valid across calls
+    /// for as long as the assignment is unchanged: a caller evaluating many
+    /// terms that share structure against one model keeps one memo for it.
+    pub fn eval_memo(
+        &self,
+        ctx: &Ctx,
+        t: TermId,
+        memo: &mut HashMap<TermId, Option<Value>>,
+    ) -> Option<Value> {
+        if let Some(&v) = memo.get(&t) {
+            return v;
+        }
+        let v = self.eval_node(ctx, t, memo);
+        memo.insert(t, v);
+        v
+    }
+
+    fn eval_node(
+        &self,
+        ctx: &Ctx,
+        t: TermId,
+        memo: &mut HashMap<TermId, Option<Value>>,
+    ) -> Option<Value> {
         match ctx.node(t) {
             TermNode::True => Some(Value::Bool(true)),
             TermNode::False => Some(Value::Bool(false)),
             TermNode::BoolVar(v) | TermNode::EnumVar(v) | TermNode::IntVar(v) => self.get(*v),
-            TermNode::Not(a) => Some(Value::Bool(!self.eval(ctx, *a)?.as_bool()?)),
+            TermNode::Not(a) => Some(Value::Bool(!self.eval_memo(ctx, *a, memo)?.as_bool()?)),
             TermNode::And(cs) => {
                 let mut acc = true;
                 for &c in cs.iter() {
-                    acc &= self.eval(ctx, c)?.as_bool()?;
+                    acc &= self.eval_memo(ctx, c, memo)?.as_bool()?;
                 }
                 Some(Value::Bool(acc))
             }
             TermNode::Or(cs) => {
                 let mut acc = false;
                 for &c in cs.iter() {
-                    acc |= self.eval(ctx, c)?.as_bool()?;
+                    acc |= self.eval_memo(ctx, c, memo)?.as_bool()?;
                 }
                 Some(Value::Bool(acc))
             }
             TermNode::Implies(a, b) => {
-                let a = self.eval(ctx, *a)?.as_bool()?;
-                let b = self.eval(ctx, *b)?.as_bool()?;
+                let a = self.eval_memo(ctx, *a, memo)?.as_bool()?;
+                let b = self.eval_memo(ctx, *b, memo)?.as_bool()?;
                 Some(Value::Bool(!a || b))
             }
             TermNode::Iff(a, b) => {
-                let a = self.eval(ctx, *a)?.as_bool()?;
-                let b = self.eval(ctx, *b)?.as_bool()?;
+                let a = self.eval_memo(ctx, *a, memo)?.as_bool()?;
+                let b = self.eval_memo(ctx, *b, memo)?.as_bool()?;
                 Some(Value::Bool(a == b))
             }
             TermNode::Ite(c, a, b) => {
-                if self.eval(ctx, *c)?.as_bool()? {
-                    self.eval(ctx, *a)
+                if self.eval_memo(ctx, *c, memo)?.as_bool()? {
+                    self.eval_memo(ctx, *a, memo)
                 } else {
-                    self.eval(ctx, *b)
+                    self.eval_memo(ctx, *b, memo)
                 }
             }
             TermNode::EnumConst(e, v) => Some(Value::Enum(*e, *v)),
             TermNode::IntConst(c) => Some(Value::Int(*c)),
             TermNode::Eq(a, b) => {
-                let a = self.eval(ctx, *a)?;
-                let b = self.eval(ctx, *b)?;
+                let a = self.eval_memo(ctx, *a, memo)?;
+                let b = self.eval_memo(ctx, *b, memo)?;
                 Some(Value::Bool(a == b))
             }
             TermNode::Le(a, b) => {
-                let a = self.eval(ctx, *a)?.as_int()?;
-                let b = self.eval(ctx, *b)?.as_int()?;
+                let a = self.eval_memo(ctx, *a, memo)?.as_int()?;
+                let b = self.eval_memo(ctx, *b, memo)?.as_int()?;
                 Some(Value::Bool(a <= b))
             }
             TermNode::Lt(a, b) => {
-                let a = self.eval(ctx, *a)?.as_int()?;
-                let b = self.eval(ctx, *b)?.as_int()?;
+                let a = self.eval_memo(ctx, *a, memo)?.as_int()?;
+                let b = self.eval_memo(ctx, *b, memo)?.as_int()?;
                 Some(Value::Bool(a < b))
             }
         }

@@ -18,6 +18,10 @@
 //!   nothing a query adds needs to be retracted. The long-lived solver keeps
 //!   its learned clauses and VSIDS activity between calls: conflicts
 //!   resolved for one candidate prune the search for the next.
+//! - **Decode on demand.** A SAT answer stays a raw solver model until a
+//!   caller asks for it: [`SmtSession::entails_assuming`] discards it, while
+//!   [`SmtSession::check_assuming`] and [`SmtSession::counter_model`]
+//!   decode it into an [`Assignment`] over the term-level variables.
 //! - **Reduce on threshold.** Retained learned clauses are bounded by the
 //!   solver's LBD-tagged database reduction ([`SatSolver::reduce_db`]), so a
 //!   long session cannot grow memory without limit.
@@ -192,6 +196,17 @@ impl SmtSession {
         ctx: &mut Ctx,
         assumptions: &[TermId],
     ) -> (SmtResult, Vec<usize>) {
+        match self.solve(ctx, assumptions) {
+            (SatResult::Sat(model), _) => (SmtResult::Sat(self.decode(ctx, &model)), Vec::new()),
+            (SatResult::Unsat, core) => (SmtResult::Unsat, core),
+            (SatResult::Unknown(i), _) => (SmtResult::Unknown(i), Vec::new()),
+        }
+    }
+
+    /// The query behind every public entry point. A SAT answer comes back
+    /// as the raw solver model; only callers that want the model pay for
+    /// [`SmtSession::decode`].
+    fn solve(&mut self, ctx: &mut Ctx, assumptions: &[TermId]) -> (SatResult, Vec<usize>) {
         let span = Span::enter("session.query");
         span.attr("assumptions", assumptions.len());
         if span.is_recording() {
@@ -202,22 +217,22 @@ impl SmtSession {
         netexpl_obs::counter_add("session.queries", 1);
         self.queries += 1;
         if let Some(i) = self.preflight() {
-            return (SmtResult::Unknown(i), Vec::new());
+            return (SatResult::Unknown(i), Vec::new());
         }
         if self.unsat {
-            return (SmtResult::Unsat, Vec::new());
+            return (SatResult::Unsat, Vec::new());
         }
         let mut lits: Vec<(usize, Lit)> = Vec::new();
         for (i, &t) in assumptions.iter().enumerate() {
             match self.literal(ctx, t) {
                 Ok(l) => lits.push((i, l)),
                 Err(true) => {} // constant-true assumption: no literal needed
-                Err(false) => return (SmtResult::Unsat, vec![i]),
+                Err(false) => return (SatResult::Unsat, vec![i]),
             }
         }
         if self.unsat {
             // A side constraint of an assumption's encoding folded false.
-            return (SmtResult::Unsat, Vec::new());
+            return (SatResult::Unsat, Vec::new());
         }
         if span.is_recording() {
             span.attr("cnf_vars", self.builder.num_vars());
@@ -233,22 +248,23 @@ impl SmtSession {
             netexpl_obs::counter_add("session.db_reductions", reduced);
         }
         span.attr("sat", result.is_sat());
-        match result {
-            SatResult::Unknown(i) => (SmtResult::Unknown(i), Vec::new()),
-            SatResult::Unsat => {
-                let core_lits = self.sat.unsat_core();
-                let core: Vec<usize> = lits
-                    .iter()
-                    .filter(|(_, l)| core_lits.contains(l))
-                    .map(|&(i, _)| i)
-                    .collect();
-                (SmtResult::Unsat, core)
-            }
-            SatResult::Sat(model) => {
-                let asg = decode_model(ctx, &self.bb, self.builder.var_map(), &model);
-                (SmtResult::Sat(asg), Vec::new())
-            }
-        }
+        let core = if matches!(result, SatResult::Unsat) {
+            let core_lits = self.sat.unsat_core();
+            lits.iter()
+                .filter(|(_, l)| core_lits.contains(l))
+                .map(|&(i, _)| i)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        (result, core)
+    }
+
+    /// Decode a raw model of this session's solver into an assignment over
+    /// the term-level variables encoded so far.
+    fn decode(&self, ctx: &Ctx, model: &[bool]) -> Assignment {
+        let _span = Span::enter("session.decode");
+        decode_model(ctx, &self.bb, self.builder.var_map(), model)
     }
 
     /// Decide the asserted base on its own.
@@ -263,21 +279,42 @@ impl SmtSession {
 
     /// Budgeted entailment with retractable extra hypotheses:
     /// base ∧ `extra` ⊨ `b`? The extras are assumptions, not assertions —
-    /// the base is unchanged afterwards.
+    /// the base is unchanged afterwards. A refuting model is not decoded.
     pub fn entails_assuming(
         &mut self,
         ctx: &mut Ctx,
         extra: &[TermId],
         b: TermId,
     ) -> Result<bool, Interrupt> {
+        match self.refute(ctx, extra, b) {
+            SatResult::Sat(_) => Ok(false),
+            SatResult::Unsat => Ok(true),
+            SatResult::Unknown(i) => Err(i),
+        }
+    }
+
+    /// [`SmtSession::entails_assuming`] that keeps the evidence: `Ok(None)`
+    /// when base ∧ `extra` ⊨ `b`, otherwise the decoded counter-model, a
+    /// model of base ∧ `extra` ∧ ¬`b`.
+    pub fn counter_model(
+        &mut self,
+        ctx: &mut Ctx,
+        extra: &[TermId],
+        b: TermId,
+    ) -> Result<Option<Assignment>, Interrupt> {
+        match self.refute(ctx, extra, b) {
+            SatResult::Sat(model) => Ok(Some(self.decode(ctx, &model))),
+            SatResult::Unsat => Ok(None),
+            SatResult::Unknown(i) => Err(i),
+        }
+    }
+
+    /// Search for a model of base ∧ `extra` ∧ ¬`b`.
+    fn refute(&mut self, ctx: &mut Ctx, extra: &[TermId], b: TermId) -> SatResult {
         let nb = ctx.not(b);
         let mut assumptions: Vec<TermId> = extra.to_vec();
         assumptions.push(nb);
-        match self.check_assuming(ctx, &assumptions).0 {
-            SmtResult::Sat(_) => Ok(false),
-            SmtResult::Unsat => Ok(true),
-            SmtResult::Unknown(i) => Err(i),
-        }
+        self.solve(ctx, &assumptions).0
     }
 
     /// Enumerate up to `limit` models pairwise distinct on `distinct_on`,
@@ -493,6 +530,83 @@ mod tests {
         assert_eq!(metrics.counter("session.queries"), 2);
         assert_eq!(session.queries(), 2);
         assert_eq!(handle.spans_named("session.query").len(), 2);
+    }
+
+    /// Asserting `act → reqs` behind a fresh activation literal changes no
+    /// query made without `act` (a model may set `act` false), while a
+    /// query assuming `act` answers as if `reqs` were asserted. This is
+    /// what lets the lifter judge both sides on one session.
+    #[test]
+    fn guarded_assertion_only_acts_under_its_literal() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let c = ctx.bool_var("c");
+        let (na, nb, nc) = (ctx.not(a), ctx.not(b), ctx.not(c));
+        let base = ctx.or2(a, b);
+        let reqs = ctx.and2(na, c);
+        let act = ctx.bool_var("act");
+        let guarded = ctx.implies(act, reqs);
+
+        let mut plain = SmtSession::new();
+        plain.assert(&mut ctx, base);
+        let mut with_reqs = SmtSession::new();
+        with_reqs.assert(&mut ctx, base);
+        with_reqs.assert(&mut ctx, reqs);
+        let mut session = SmtSession::new();
+        session.assert(&mut ctx, base);
+        session.assert(&mut ctx, guarded);
+
+        let queries: [&[TermId]; 8] =
+            [&[], &[a], &[na], &[nb], &[nc], &[a, nc], &[na, nb], &[b, c]];
+        let mut differ = 0;
+        for q in queries {
+            let without = plain.check_assuming(&mut ctx, q).0.is_sat();
+            assert_eq!(
+                session.check_assuming(&mut ctx, q).0.is_sat(),
+                without,
+                "{q:?}"
+            );
+            let mut under_act = q.to_vec();
+            under_act.push(act);
+            let with = with_reqs.check_assuming(&mut ctx, q).0.is_sat();
+            assert_eq!(
+                session.check_assuming(&mut ctx, &under_act).0.is_sat(),
+                with,
+                "{q:?} under act"
+            );
+            differ += usize::from(with != without);
+        }
+        assert!(differ > 0, "reqs must constrain some query");
+        for t in [a, b, c, na, nb, nc, base, reqs] {
+            assert_eq!(session.entails(&mut ctx, t), plain.entails(&mut ctx, t));
+            assert_eq!(
+                session.entails_assuming(&mut ctx, &[act], t),
+                with_reqs.entails(&mut ctx, t)
+            );
+        }
+    }
+
+    /// `counter_model` answers like `entails_assuming` and, when the
+    /// entailment fails, returns a model of base ∧ extra ∧ ¬b.
+    #[test]
+    fn counter_model_witnesses_a_failed_entailment() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let c = ctx.bool_var("c");
+        let base = ctx.or2(a, b);
+        let mut session = SmtSession::new();
+        session.assert(&mut ctx, base);
+        let na = ctx.not(a);
+        assert_eq!(session.counter_model(&mut ctx, &[na], b), Ok(None));
+        let model = session
+            .counter_model(&mut ctx, &[c], a)
+            .unwrap()
+            .expect("a ∨ b does not entail a");
+        assert_eq!(model.eval_bool(&ctx, base), Some(true));
+        assert_eq!(model.eval_bool(&ctx, c), Some(true));
+        assert_eq!(model.eval_bool(&ctx, a), Some(false));
     }
 
     /// Cloning a warmed session — the warm-start behind the lifter's

@@ -117,6 +117,11 @@ pub struct ProfileReport {
     pub cache_hits: u64,
     /// See `cache_hits`.
     pub cache_misses: u64,
+    /// Solver queries answered by sessions (`session.queries`).
+    pub session_queries: u64,
+    /// Lift queries answered from cached counter-models instead of the
+    /// solver (`lift.model_hits`).
+    pub model_hits: u64,
     /// p50/p95/p99 for the key per-span latency histograms.
     pub quantiles: Vec<QuantileRow>,
 }
@@ -289,10 +294,13 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
         .collect();
 
     let (mut cache_hits, mut cache_misses) = (0, 0);
+    let (mut session_queries, mut model_hits) = (0, 0);
     let mut quantiles = Vec::new();
     if let Some(metrics) = &data.metrics {
         cache_hits = metrics.counter("cache.hit");
         cache_misses = metrics.counter("cache.miss");
+        session_queries = metrics.counter("session.queries");
+        model_hits = metrics.counter("lift.model_hits");
         for name in [
             "span.explain.ms",
             "span.lift.ms",
@@ -328,6 +336,8 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
         hot_candidates,
         cache_hits,
         cache_misses,
+        session_queries,
+        model_hits,
         quantiles,
     }
 }
@@ -452,6 +462,16 @@ impl fmt::Display for ProfileReport {
             writeln!(f)?;
         }
 
+        if self.session_queries + self.model_hits > 0 {
+            writeln!(
+                f,
+                "solver queries: {} session queries, {} more answered from cached \
+                 counter-models (lift.model_hits)",
+                self.session_queries, self.model_hits
+            )?;
+            writeln!(f)?;
+        }
+
         if !self.quantiles.is_empty() {
             writeln!(f, "latency quantiles (ms):")?;
             writeln!(
@@ -499,6 +519,8 @@ mod tests {
         let mut metrics = MetricsRegistry::new();
         metrics.counter_add("cache.hit", 3);
         metrics.counter_add("cache.miss", 1);
+        metrics.counter_add("session.queries", 1);
+        metrics.counter_add("lift.model_hits", 2);
         metrics.observe("span.session.query.ms", 0.5);
         MemoryData {
             spans: vec![
@@ -617,6 +639,7 @@ mod tests {
         assert!(text.contains("dominant stage:  lift"));
         assert!(text.contains("Amdahl: R3: 80% of wall; serial lift: 88% of R3."));
         assert!(text.contains("encode cache: 3 hits / 1 misses"));
+        assert!(text.contains("solver queries: 1 session queries, 2 more answered"));
         assert!(text.contains("span.session.query.ms"));
     }
 }

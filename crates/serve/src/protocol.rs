@@ -22,7 +22,7 @@
 //! {"id":"my-tag","seq":13,"ok":false,"error":{"code":"NX801","message":"…"}}
 //! ```
 
-use std::io::{BufRead, ErrorKind};
+use std::io::{BufRead, ErrorKind, Write};
 
 use netexpl_core::Error;
 use serde_json::Value;
@@ -115,6 +115,19 @@ pub struct Request {
     pub id: Option<String>,
     /// Per-request deadline; the server tightens it with its own cap.
     pub timeout_ms: Option<u64>,
+}
+
+/// Write one newline-terminated frame with a single `write_all`.
+///
+/// `writeln!` on a raw socket issues two sends, the line and then a lone
+/// `"\n"`; with Nagle's algorithm on, that second send waits for the
+/// peer's delayed ACK (up to 40 ms). Both sides of the protocol write
+/// through this helper on `TCP_NODELAY` streams.
+pub fn write_frame(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())
 }
 
 /// Read one newline-terminated frame, enforcing the size limit.

@@ -27,7 +27,7 @@
 //! which `signal(2)` hooks need); orchestrators should send the
 //! `shutdown` op instead of SIGTERM.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,8 +40,8 @@ use serde_json::Value;
 
 use crate::engine::{Engine, EngineConfig};
 use crate::protocol::{
-    self, decode, draining, err_response, ok_response, overloaded, read_frame, worker_crashed, Op,
-    Request,
+    self, decode, draining, err_response, ok_response, overloaded, read_frame, worker_crashed,
+    write_frame, Op, Request,
 };
 use crate::queue::{PushError, Queue};
 
@@ -204,6 +204,9 @@ impl Server {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    // Replies are single frames; never hold one back for
+                    // the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     if shared.draining.load(Ordering::SeqCst) {
                         refuse(stream, &shared);
                         continue;
@@ -215,17 +218,16 @@ impl Server {
                         let seq = shared.next_seq();
                         let mut s = stream;
                         let _ = s.set_write_timeout(Some(shared.config.write_timeout));
-                        let _ = writeln!(
-                            s,
-                            "{}",
-                            err_response(
+                        let _ = write_frame(
+                            &mut s,
+                            &err_response(
                                 None,
                                 seq,
                                 &overloaded(
                                     shared.config.queue_capacity,
-                                    shared.config.queue_capacity
-                                )
-                            )
+                                    shared.config.queue_capacity,
+                                ),
+                            ),
                         );
                         continue;
                     }
@@ -268,7 +270,7 @@ impl Server {
 fn refuse(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let seq = shared.next_seq();
-    let _ = writeln!(stream, "{}", err_response(None, seq, &draining()));
+    let _ = write_frame(&mut stream, &err_response(None, seq, &draining()));
 }
 
 /// The supervisor: keeps `workers` worker threads alive until the queue
@@ -357,7 +359,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 // position is unreliable mid-frame.
                 let seq = shared.next_seq();
                 shared.metrics.counter_add("serve.requests.rejected", 1);
-                let _ = writeln!(writer, "{}", err_response(None, seq, &e));
+                let _ = write_frame(&mut writer, &err_response(None, seq, &e));
                 return;
             }
         };
@@ -368,12 +370,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 // connection.
                 let seq = shared.next_seq();
                 shared.metrics.counter_add("serve.requests.rejected", 1);
-                let _ = writeln!(writer, "{}", err_response(None, seq, &e));
+                let _ = write_frame(&mut writer, &err_response(None, seq, &e));
                 continue;
             }
         };
         let line = respond(&request, shared);
-        if writeln!(writer, "{line}").is_err() {
+        if write_frame(&mut writer, &line).is_err() {
             return; // slow/gone client
         }
         if matches!(request.op, Op::Shutdown { .. }) {

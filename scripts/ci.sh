@@ -114,6 +114,12 @@ echo "==> delta differential suite: explain_delta vs from-scratch"
 # semantic artifact under random edits.
 PROPTEST_CASES="${PROPTEST_CASES:-8}" cargo test -q --test explain_delta
 
+echo "==> benchmark suite: every workload's explanations match perfbench/expected.txt"
+# The benchmark is a workspace of its own; its tests run the smoke pass of
+# each workload with every output check on, and the work-counter
+# determinism check. This step only reads perfbench/.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> diff smoke: one-clause cosmetic edit recomputes one router"
 # Synthesize the paper configuration, renumber one route-map clause (a
 # cosmetic edit dirtying exactly its owner), and check the delta run

@@ -6,6 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use netexpl_obs::MetricsRegistry;
+use netexpl_serve::protocol::write_frame;
 use netexpl_serve::{EngineConfig, Server, ServerConfig};
 use serde_json::Value;
 
@@ -72,6 +73,7 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
+        stream.set_nodelay(true).unwrap();
         let writer = stream.try_clone().unwrap();
         Client {
             writer,
@@ -87,7 +89,7 @@ impl Client {
 
     /// Send one raw line without reading.
     pub fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("write request");
+        write_frame(&mut self.writer, line).expect("write request");
     }
 
     /// Write raw bytes with no newline framing (for malformed-input
@@ -120,8 +122,9 @@ pub fn try_roundtrip(addr: SocketAddr, line: &str) -> Result<Value, String> {
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
+    stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
-    writeln!(writer, "{line}").map_err(|e| e.to_string())?;
+    write_frame(&mut writer, line).map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream);
     let mut buf = String::new();
     let n = reader.read_line(&mut buf).map_err(|e| e.to_string())?;
